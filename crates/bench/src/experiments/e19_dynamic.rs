@@ -38,7 +38,8 @@ pub fn run(quick: bool) -> Vec<Table> {
 /// histograms, add/remove counters), repair wall times land in a
 /// `engine_repair_wall_us` histogram, and an [`owp_metrics::Auditor`]
 /// consumes every `DeltaReport` and re-audits the maintained matching
-/// after each batch. The un-instrumented [`run`] stays the `bench_guard`
+/// after each batch; each cell's engine publishes its flight-recorder
+/// gauges at the end. The un-instrumented [`run`] stays the `bench_guard`
 /// surface, so guarded wall times never include the audit cost.
 pub fn run_with_metrics(quick: bool, reg: &owp_metrics::MetricsRegistry) -> Vec<Table> {
     run_inner(quick, Some(reg))
@@ -141,6 +142,9 @@ fn sweep(
             }
         }
 
+        if let Some(r) = reg {
+            owp_metrics::publish_recorder_gauges(r, &engine);
+        }
         let speedup = mean(&rebuild_ms) / mean(&repair_ms).max(f64::MIN_POSITIVE);
         t.row(vec![
             format!("{pct}"),
@@ -263,6 +267,7 @@ mod tests {
         assert_eq!(reg.counter("audit_violations_total").get(), 0);
         assert!(reg.counter("engine_edges_added_total").get() > 0);
         assert!(reg.gauge("audit_engine_matching_size").get() > 0.0);
+        assert!(reg.gauge(owp_metrics::RECORDER_OCCUPANCY).get() > 0.0);
     }
 
     #[test]

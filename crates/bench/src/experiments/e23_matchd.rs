@@ -36,6 +36,7 @@ use owp_matchd::{
 };
 use owp_metrics::MetricsRegistry;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Events each client submits per sweep configuration.
@@ -63,7 +64,11 @@ fn scale(quick: bool) -> usize {
 }
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("owp-e23-{}-{tag}", std::process::id()));
+    // The sequence number keeps concurrent runs in one process (the
+    // parallel unit tests) out of each other's data directories.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("owp-e23-{}-{seq}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

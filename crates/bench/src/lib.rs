@@ -17,7 +17,6 @@
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 
-pub mod alloc_shim;
 pub mod campaign;
 pub mod experiments;
 pub mod table;

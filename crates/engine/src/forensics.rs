@@ -550,7 +550,7 @@ pub struct ForensicBundle {
     pub last_good_epoch: u64,
     /// Compiler provenance ([`RUSTC_VERSION`]).
     pub rustc: String,
-    /// Engine configuration (shards/threads/ring capacities).
+    /// Engine configuration (forensic ring capacities).
     pub config: String,
     /// Workload seed, when the caller has one.
     pub seed: Option<u64>,
@@ -944,6 +944,9 @@ fn jstr(s: &str) -> String {
 enum Json {
     Null,
     Bool(bool),
+    /// A non-negative integer literal, kept exact (seeds use all 64 bits).
+    Int(u64),
+    /// Any other number.
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -1011,6 +1014,9 @@ impl JsonParser<'_> {
         }
     }
 
+    /// A number token. Plain digit strings parse as exact [`Json::Int`]s
+    /// — one that overflows u64 is an error, never rounded — and
+    /// everything else as a finite f64.
     fn num(&mut self) -> Result<Json, String> {
         let start = self.i;
         while self
@@ -1019,12 +1025,14 @@ impl JsonParser<'_> {
         {
             self.i += 1;
         }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        let token = &self.b[start..self.i];
+        let text = std::str::from_utf8(token).unwrap_or_default();
+        let parsed = if !token.is_empty() && token.iter().all(u8::is_ascii_digit) {
+            text.parse::<u64>().ok().map(Json::Int)
+        } else {
+            text.parse::<f64>().ok().filter(|n| n.is_finite()).map(Json::Num)
+        };
+        parsed.ok_or_else(|| format!("bad number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -1147,9 +1155,7 @@ fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
 
 fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
     match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
-            Ok(*n as u64)
-        }
+        Json::Int(n) => Ok(*n),
         _ => Err(format!("{what}: expected a non-negative integer")),
     }
 }
@@ -1211,9 +1217,7 @@ impl Engine {
             last_good_epoch,
             rustc: RUSTC_VERSION.to_string(),
             config: format!(
-                "shards={} threads={} flight={} history={}",
-                self.shard_count(),
-                self.thread_count(),
+                "flight={} history={}",
                 ring.capacity(),
                 self.history().capacity(),
             ),
@@ -1346,6 +1350,32 @@ mod tests {
         let parsed = ForensicBundle::parse(&bundle.to_json()).expect("bundle parses");
         assert_eq!(parsed, *bundle, "lossless round trip");
         assert!(parsed.verify().unwrap().is_some(), "parsed bundle still reproduces");
+    }
+
+    /// 64-bit seeds survive the JSON round trip exactly — including the
+    /// values an f64 reading rounds (2⁵³+1) or cannot hold (u64::MAX) —
+    /// and an integer past u64 is rejected rather than rounded.
+    #[test]
+    fn seeds_round_trip_exactly() {
+        let e = Engine::new(problem(26));
+        let bundle = e.capture_bundle("manual", "seed probe", None, None);
+        for seed in [
+            0,
+            (1u64 << 53) - 1,
+            1u64 << 53,
+            (1u64 << 53) + 1,
+            0x9e37_79b9_7f4a_7c15,
+            u64::MAX,
+        ] {
+            let with_seed = ForensicBundle { seed: Some(seed), ..bundle.clone() };
+            let parsed = ForensicBundle::parse(&with_seed.to_json()).expect("bundle parses");
+            assert_eq!(parsed.seed, Some(seed));
+            assert_eq!(parsed, with_seed);
+        }
+        let doc = ForensicBundle { seed: Some(u64::MAX), ..bundle }.to_json();
+        let overflow = doc.replace("18446744073709551615", "18446744073709551616");
+        assert_ne!(overflow, doc);
+        assert!(ForensicBundle::parse(&overflow).is_err(), "2^64 must not round to a seed");
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod event;
 pub mod forensics;
 pub mod report;
 pub mod scratch;
-pub mod shard;
 
 pub use dynamic::DynamicProblem;
 pub use engine::{Engine, EngineBuilder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_CAPACITY};
@@ -70,4 +69,3 @@ pub use forensics::{
     RecordedStep, ShrinkResult, StepRing,
 };
 pub use report::{DeltaReport, Epoch};
-pub use shard::{Partitioner, RangePartitioner, ShardMap, BOUNDARY};

@@ -3,21 +3,21 @@
 //! Before this module the engine allocated fresh dirty sets, heap
 //! frontiers, scratch validation flags and delta buffers on **every**
 //! batch; profiled at n=10⁶ the allocator traffic dominated the repair
-//! cost (ROADMAP item 5). All of that state now lives in arenas owned by
-//! the [`crate::Engine`] and is *cleared*, never dropped:
+//! cost. All of that state now lives in one arena owned by the
+//! [`crate::Engine`], indexed by global edge and node ids, and is
+//! *cleared*, never dropped:
 //!
-//! * [`ShardState`] — one per shard: the interior selected/queued bitmaps
-//!   (shard-local edge indexing), the rank-ordered heap frontier, seed and
-//!   boundary-proposal buffers, the structure-of-arrays selected-edge
-//!   mirror ([`FixedCsr`], u32 edge ids), per-shard touched tracking and
-//!   the flip journal.
-//! * [`EngineScratch`] — engine-global: validation flag copies, the
-//!   boundary merge heap/queued-bitmap/seed list, the delta compaction
-//!   state and global touched tracking.
+//! * repair state — the selected/queued bitmaps, the rank-ordered heap
+//!   frontier, the event seed list and the structure-of-arrays
+//!   selected-edge mirror ([`FixedCsr`], u32 edge ids);
+//! * the flip journal — per-edge net delta state plus the list of edges
+//!   that flipped, compacted into the batch's `DeltaReport`;
+//! * touched-node tracking, validation flag copies and the batch's
+//!   rerank list.
 //!
 //! Clearing discipline: bitmaps are cleared through the companion lists
-//! that recorded which bits were set (O(touched), not O(n)), heaps drain
-//! themselves to empty by the end of every batch, and `Vec`s are
+//! that recorded which bits were set (O(touched), not O(n)), the heap
+//! drains itself to empty by the end of every batch, and `Vec`s are
 //! `clear()`ed so their capacity survives. After warm-up a batch of
 //! structural events (join/leave, edge add/remove) touches the allocator
 //! zero times — asserted by `crates/engine/tests/zero_alloc.rs` with a
@@ -25,7 +25,6 @@
 //! `PreferenceUpdate`) still allocate inside the rank-kernel splice and
 //! are outside the zero-allocation contract (DESIGN.md §11).
 
-use crate::shard::ShardMap;
 use owp_graph::{EdgeId, Graph, NodeId};
 use owp_matching::{EdgeRank, FixedCsr};
 use std::cmp::Reverse;
@@ -36,123 +35,63 @@ use std::collections::BinaryHeap;
 /// heap's backing array compact (8 bytes per entry) on the hot path.
 pub(crate) type Frontier = BinaryHeap<Reverse<(EdgeRank, u32)>>;
 
-/// Per-shard repair state and arenas. Interior edges and nodes are
-/// addressed by their *shard-local* indices (see [`ShardMap`]); the
-/// structure is `Send`, so disjoint shards repair on different threads.
+/// The engine's repair arena.
 #[derive(Clone, Debug)]
-pub(crate) struct ShardState {
-    /// Interior-edge selected bitmap, by local edge index — the
-    /// authoritative status of this shard's interior edges during repair
-    /// (the public [`owp_matching::BMatching`] mirror is synced from the
-    /// flip journal once the batch's repair converges).
+pub(crate) struct EngineScratch {
+    /// Selected bitmap by edge id — the authoritative status of every
+    /// edge during repair (the public [`owp_matching::BMatching`] is
+    /// written through as each flip happens).
     pub selected: Vec<bool>,
-    /// In-heap bitmap, by local edge index. Set on push, cleared on pop,
-    /// so an edge re-seeded by a later round can re-enter the frontier.
+    /// In-heap bitmap by edge id: set on push, cleared on pop.
     pub queued: Vec<bool>,
     /// The rank-ordered repair frontier.
     pub heap: Frontier,
-    /// Interior edges (global ids) to seed the next phase-1 pass with;
-    /// deduplicated against `queued` when the heap is built.
+    /// Edges the batch's events perturbed; pushed onto the heap once the
+    /// batch's ranks are final, deduplicated against `queued`.
     pub seeds: Vec<EdgeId>,
-    /// Boundary edges this shard's interior flips want re-evaluated:
-    /// `(rank, edge id)`, collected race-free per shard and merged
-    /// deterministically in phase 2.
-    pub proposals: Vec<(EdgeRank, u32)>,
-    /// Selected-edge mirror: row = local node, items = global edge ids of
-    /// its currently selected incident edges (interior *and* boundary).
+    /// Selected-edge mirror: row = node id, items = ids of its currently
+    /// selected incident edges. The repair needs edge ids for O(1) rank
+    /// lookups where [`owp_matching::BMatching`] stores matched
+    /// neighbours.
     pub sel: FixedCsr,
-    /// Touched bitmap by local node index, cleared through
-    /// `touched_nodes`.
-    pub touched: Vec<bool>,
-    /// Local indices of nodes touched by this shard's repair.
-    pub touched_nodes: Vec<u32>,
-    /// Flip journal: `(global edge id, now_selected)` in application
-    /// order. An interior edge's flips all land here (and only here), so
-    /// per-edge chronology is preserved for the mirror sync.
-    pub flips: Vec<(u32, bool)>,
-    /// Edges evaluated by this shard in the current batch.
-    pub evaluated: u64,
-}
-
-impl ShardState {
-    /// Empty state for shard `s` of `map`, with the selected-edge mirror
-    /// sized to the shard's node degrees (a node can never have more
-    /// selected incident edges than incident edges).
-    pub fn new(g: &Graph, map: &ShardMap, s: usize) -> Self {
-        ShardState {
-            selected: vec![false; map.interior_edges(s).len()],
-            queued: vec![false; map.interior_edges(s).len()],
-            heap: BinaryHeap::new(),
-            seeds: Vec::new(),
-            proposals: Vec::new(),
-            sel: FixedCsr::with_capacities(
-                map.nodes(s).iter().map(|&i| g.degree(i) as u32),
-            ),
-            touched: vec![false; map.nodes(s).len()],
-            touched_nodes: Vec::new(),
-            flips: Vec::new(),
-            evaluated: 0,
-        }
-    }
-}
-
-/// Engine-global arenas: everything the sequential parts of a batch
-/// (validation, event application, boundary merge, delta compaction)
-/// reuse across batches.
-#[derive(Clone, Debug)]
-pub(crate) struct EngineScratch {
-    /// Global touched bitmap by node id, cleared through `touched_nodes`.
+    /// Touched bitmap by node id, cleared through `touched_nodes`.
     pub touched: Vec<bool>,
     /// Nodes whose satisfaction inputs changed this batch.
     pub touched_nodes: Vec<NodeId>,
     /// Edges whose rank keys moved this batch (folded into one splice).
     pub rerank_list: Vec<EdgeId>,
-    /// Boundary-edge selected bitmap, by boundary index — the
-    /// authoritative status of boundary edges (mutated only by the
-    /// sequential phase-2 merge, so phase-1 workers may read it freely).
-    pub bselected: Vec<bool>,
-    /// Boundary in-heap bitmap, by boundary index.
-    pub bqueued: Vec<bool>,
-    /// The boundary merge frontier.
-    pub bheap: Frontier,
-    /// Boundary edges seeded directly by events.
-    pub bseeds: Vec<EdgeId>,
-    /// Boundary flip journal (phase 2 only) — same role as
-    /// [`ShardState::flips`].
-    pub flips: Vec<(u32, bool)>,
-    /// Delta compaction: 0 = untouched, 1 = net added, 2 = net removed,
-    /// by global edge id; toggled per flip so an edge that flips on and
-    /// back off reports no delta. Cleared through `delta_edges`.
+    /// Flip journal: 0 = untouched, 1 = net added, 2 = net removed, by
+    /// edge id, with bit 2 marking membership in `delta_edges`; toggled
+    /// per flip so an edge that flips on and back off reports no delta.
     pub delta_state: Vec<u8>,
-    /// Edges with a non-zero `delta_state` entry (may contain edges that
-    /// toggled back to 0 — compaction skips them).
+    /// Edges that flipped this batch, each listed once (may contain edges
+    /// that toggled back to 0 — compaction skips them).
     pub delta_edges: Vec<EdgeId>,
     /// Batch-validation scratch copies of the membership flags.
     pub val_active: Vec<bool>,
     /// See `val_active`.
     pub val_present: Vec<bool>,
-    /// Edges evaluated by the boundary merge in the current batch.
-    pub evaluated: u64,
 }
 
 impl EngineScratch {
-    /// Empty arenas for a universe with `n` nodes, `m` edges and
-    /// `boundary` boundary edges.
-    pub fn new(n: usize, m: usize, boundary: usize) -> Self {
+    /// Empty arenas for universe graph `g`, with the selected-edge mirror
+    /// sized to the node degrees (a node can never have more selected
+    /// incident edges than incident edges).
+    pub fn new(g: &Graph) -> Self {
+        let (n, m) = (g.node_count(), g.edge_count());
         EngineScratch {
+            selected: vec![false; m],
+            queued: vec![false; m],
+            heap: BinaryHeap::new(),
+            seeds: Vec::new(),
+            sel: FixedCsr::with_capacities(g.nodes().map(|i| g.degree(i) as u32)),
             touched: vec![false; n],
             touched_nodes: Vec::new(),
             rerank_list: Vec::new(),
-            bselected: vec![false; boundary],
-            bqueued: vec![false; boundary],
-            bheap: BinaryHeap::new(),
-            bseeds: Vec::new(),
-            flips: Vec::new(),
             delta_state: vec![0; m],
             delta_edges: Vec::new(),
             val_active: Vec::with_capacity(n),
             val_present: Vec::with_capacity(m.max(1)),
-            evaluated: 0,
         }
     }
 
@@ -162,6 +101,15 @@ impl EngineScratch {
         if !self.touched[i.index()] {
             self.touched[i.index()] = true;
             self.touched_nodes.push(i);
+        }
+    }
+
+    /// Queues edge `e` at rank `r` unless it is already in the heap.
+    #[inline]
+    pub fn enqueue(&mut self, e: EdgeId, r: EdgeRank) {
+        if !self.queued[e.index()] {
+            self.queued[e.index()] = true;
+            self.heap.push(Reverse((r, e.0)));
         }
     }
 }

@@ -23,9 +23,8 @@
 //!   repair consistency and epoch monotonicity, reported as structured
 //!   [`AuditViolation`]s (never panics) alongside ε-blocking-edge and
 //!   satisfaction-ratio gauges.
-//! * [`alloc`](mod@alloc) — allocation accounting for the engine's
-//!   zero-allocation batch contract (the `engine_allocations_per_batch`
-//!   gauge) plus the per-shard repair gauges of the sharded engine.
+//! * [`flight`] — the engine flight recorder's drop-count and occupancy
+//!   gauges.
 //! * [`daemon`](mod@daemon) — the `matchd_*` keys the matchmaking daemon
 //!   publishes (ingest queue depth, admission rejects, WAL bytes, batch
 //!   linger), shared between `owp-matchd` and the inspectors.
@@ -40,18 +39,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod audit;
 pub mod campaign;
 pub mod daemon;
+pub mod flight;
 pub mod recorder;
 pub mod registry;
 pub mod snapshot;
 
-pub use alloc::{
-    allocation_count, allocations_since, publish_allocations_per_batch, publish_shard_gauges,
-    ALLOCATIONS_PER_BATCH, ALLOC_COUNT, PHASE2_ROUNDS, RECORDER_DROPPED, RECORDER_OCCUPANCY,
-};
 pub use daemon::{
     register_matchd_metrics, MATCHD_ADMISSION_REJECTS, MATCHD_AUDIT_CLEAN, MATCHD_AUDIT_COST_US,
     MATCHD_AUDIT_FAILURES, MATCHD_AUDIT_LAST_EPOCH, MATCHD_AUDIT_PASSES, MATCHD_BATCH_EVENTS,
@@ -69,6 +64,7 @@ pub use campaign::{
     CAMPAIGN_CERTIFIED_TOTAL, CAMPAIGN_PLANS_TOTAL, CAMPAIGN_PLAN_EVENTS, CAMPAIGN_PLAN_WALL_US,
     CAMPAIGN_VIOLATIONS_TOTAL,
 };
+pub use flight::{publish_recorder_gauges, RECORDER_DROPPED, RECORDER_OCCUPANCY};
 pub use recorder::MetricsRecorder;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
