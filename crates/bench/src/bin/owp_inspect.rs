@@ -302,6 +302,17 @@ fn inspect_metrics(path: &str) {
                 }
             }
         }
+        if let Some(h) = hist(owp_metrics::MATCHD_SPAN_PUBLISH_US) {
+            if h.count > 0 {
+                let _ = writeln!(
+                    out,
+                    "  view publish n={} mean={:.1}us p99~{:.1}us (per flush, inside the ack leg)",
+                    h.count,
+                    h.mean(),
+                    h.quantile_interpolated(0.99).unwrap_or(0.0),
+                );
+            }
+        }
     }
 
     // The chaos-campaign ledger (E25): per-fault-class coverage counters

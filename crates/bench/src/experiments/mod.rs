@@ -139,32 +139,38 @@ pub fn run_instrumented(
             _ => {}
         }
     }
-    let tables = match id {
-        "e1" => vec![e01_figure1::run()],
-        "e2" => vec![e02_weight_ratio::run(quick)],
-        "e3" => vec![e03_satisfaction_ratio::run(quick)],
-        "e4" => vec![e04_messages::run(quick)],
-        "e5" => vec![e05_convergence::run(quick)],
-        "e6" => e06_baselines::run(quick),
-        "e7" => vec![e07_bmax_sweep::run(quick)],
-        "e8" => vec![e08_lemma1_tightness::run()],
-        "e9" => vec![e09_churn::run(quick)],
-        "e10" => vec![e10_equivalence::run(quick)],
-        "e11" => vec![e11_robustness::run(quick)],
-        "e12" => vec![e12_reliable::run(quick)],
-        "e13" => vec![e13_normalization::run(quick)],
-        "e14" => vec![e14_fairness::run(quick)],
-        "e15" => e15_scale::run(quick),
-        "e16" => e16_stability::run(quick),
-        "e17" => vec![e17_ratio_at_scale::run(quick)],
-        "e19" => e19_dynamic::run(quick),
-        "e22" => e22_forensics::run(quick),
-        "e23" => e23_matchd::run(quick),
-        "e24" => e24_ops::run(quick),
-        "e25" => e25_campaign::run(quick),
+    runner(id).map(|run| (run(quick), None))
+}
+
+/// The plain runner of experiment `id`, without running it; `None` for
+/// unknown ids and for `e18`/`e20`, whose trace-recording runs
+/// [`run_instrumented`] dispatches itself.
+pub fn runner(id: &str) -> Option<fn(bool) -> Vec<Table>> {
+    Some(match id {
+        "e1" => |_| vec![e01_figure1::run()],
+        "e2" => |quick| vec![e02_weight_ratio::run(quick)],
+        "e3" => |quick| vec![e03_satisfaction_ratio::run(quick)],
+        "e4" => |quick| vec![e04_messages::run(quick)],
+        "e5" => |quick| vec![e05_convergence::run(quick)],
+        "e6" => e06_baselines::run,
+        "e7" => |quick| vec![e07_bmax_sweep::run(quick)],
+        "e8" => |_| vec![e08_lemma1_tightness::run()],
+        "e9" => |quick| vec![e09_churn::run(quick)],
+        "e10" => |quick| vec![e10_equivalence::run(quick)],
+        "e11" => |quick| vec![e11_robustness::run(quick)],
+        "e12" => |quick| vec![e12_reliable::run(quick)],
+        "e13" => |quick| vec![e13_normalization::run(quick)],
+        "e14" => |quick| vec![e14_fairness::run(quick)],
+        "e15" => e15_scale::run,
+        "e16" => e16_stability::run,
+        "e17" => |quick| vec![e17_ratio_at_scale::run(quick)],
+        "e19" => e19_dynamic::run,
+        "e22" => e22_forensics::run,
+        "e23" => e23_matchd::run,
+        "e24" => e24_ops::run,
+        "e25" => e25_campaign::run,
         _ => return None,
-    };
-    Some((tables, None))
+    })
 }
 
 /// Like [`run`], but for experiments in [`FORENSIC`] also returns the
@@ -241,14 +247,20 @@ mod tests {
         }
     }
 
-    /// Every id in ALL dispatches and ids are unique.
+    /// Every id in ALL dispatches — to a plain runner, or to the
+    /// trace-recording arms of `run_instrumented` — and ids are unique.
     #[test]
     fn all_ids_are_known_and_unique() {
         let mut seen = std::collections::BTreeSet::new();
         for id in ALL {
             assert!(seen.insert(*id), "duplicate id {id}");
+            assert!(
+                runner(id).is_some() || TRACED.contains(id),
+                "{id} is in ALL but does not dispatch"
+            );
         }
-        assert_eq!(ALL.len(), 24);
+        assert!(runner("e99").is_none());
+        assert!(runner("e18").is_none() && runner("e20").is_none());
     }
 
     /// E18 carries a convergence series, E20 a raw event log; the others

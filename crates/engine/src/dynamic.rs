@@ -153,14 +153,6 @@ impl DynamicProblem {
         }
     }
 
-    pub(crate) fn active_flags(&self) -> &[bool] {
-        &self.active
-    }
-
-    pub(crate) fn present_flags(&self) -> &[bool] {
-        &self.present
-    }
-
     /// Sets `i`'s quota and re-derives its incident eq. 9 weights. Returns
     /// the edges whose keys changed; the rank kernel is **stale** for them
     /// until [`DynamicProblem::rerank`] runs — the engine defers that to

@@ -383,11 +383,11 @@ impl Engine {
         self.apply_batch(std::slice::from_ref(&event))
     }
 
-    /// Applies a batch atomically: the whole batch is validated against a
-    /// scratch copy of the membership flags first, so an `Err` leaves the
-    /// engine untouched (same epoch, same matching). On success all
-    /// events take effect together and **one** bounded repair restores
-    /// the canonical matching.
+    /// Applies a batch atomically: the whole batch is validated first,
+    /// against the membership flags as the batch itself moves them, so
+    /// an `Err` leaves the engine untouched (same epoch, same matching).
+    /// On success all events take effect together and **one** bounded
+    /// repair restores the canonical matching.
     pub fn apply_batch(&mut self, events: &[EngineEvent]) -> Result<DeltaReport, EngineError> {
         let mut report = DeltaReport::default();
         self.apply_batch_traced_into(events, &mut NullRecorder, &mut report)?;
@@ -641,18 +641,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Whole-batch validation against scratch membership flags; `Err`
-    /// means nothing was (or will be) applied.
+    /// Whole-batch validation against the membership flags as the batch
+    /// itself moves them; `Err` means nothing was (or will be) applied.
+    /// The flags are never copied: per-id toggles record what the batch
+    /// flipped so far and are cleared through their index lists, so
+    /// validation costs O(batch), not O(n + m).
     fn validate(&mut self, events: &[EngineEvent]) -> Result<(), EngineError> {
-        let g = self.dp.graph();
+        let dp = &self.dp;
+        let g = dp.graph();
         let n = g.node_count();
-        let scratch = &mut self.scratch;
-        scratch.val_active.clear();
-        scratch.val_active.extend_from_slice(self.dp.active_flags());
-        scratch.val_present.clear();
-        scratch.val_present.extend_from_slice(self.dp.present_flags());
-        let active = &mut scratch.val_active;
-        let present = &mut scratch.val_present;
+        let s = &mut self.scratch;
         let check_node = |i: NodeId| {
             if i.index() < n {
                 Ok(())
@@ -660,60 +658,61 @@ impl Engine {
                 Err(EngineError::UnknownNode(i))
             }
         };
-        for ev in events {
-            match ev {
-                EngineEvent::NodeJoin { node } => {
-                    check_node(*node)?;
-                    if active[node.index()] {
-                        return Err(EngineError::AlreadyActive(*node));
+        let mut check = || {
+            for ev in events {
+                match ev {
+                    EngineEvent::NodeJoin { node } | EngineEvent::NodeLeave { node } => {
+                        check_node(*node)?;
+                        let active = dp.is_active(*node) != s.val_node_toggled[node.index()];
+                        match (ev, active) {
+                            (EngineEvent::NodeJoin { .. }, true) => {
+                                return Err(EngineError::AlreadyActive(*node))
+                            }
+                            (EngineEvent::NodeLeave { .. }, false) => {
+                                return Err(EngineError::NotActive(*node))
+                            }
+                            _ => s.toggle_node(*node),
+                        }
                     }
-                    active[node.index()] = true;
-                }
-                EngineEvent::NodeLeave { node } => {
-                    check_node(*node)?;
-                    if !active[node.index()] {
-                        return Err(EngineError::NotActive(*node));
+                    EngineEvent::EdgeAdd { u, v } | EngineEvent::EdgeRemove { u, v } => {
+                        check_node(*u)?;
+                        check_node(*v)?;
+                        let e = g.edge_between(*u, *v).ok_or(EngineError::UnknownEdge(*u, *v))?;
+                        let present = dp.is_present(e) != s.val_edge_toggled[e.index()];
+                        match (ev, present) {
+                            (EngineEvent::EdgeAdd { .. }, true) => {
+                                return Err(EngineError::EdgePresent(*u, *v))
+                            }
+                            (EngineEvent::EdgeRemove { .. }, false) => {
+                                return Err(EngineError::EdgeAbsent(*u, *v))
+                            }
+                            _ => s.toggle_edge(e),
+                        }
                     }
-                    active[node.index()] = false;
-                }
-                EngineEvent::EdgeAdd { u, v } => {
-                    check_node(*u)?;
-                    check_node(*v)?;
-                    let e = g.edge_between(*u, *v).ok_or(EngineError::UnknownEdge(*u, *v))?;
-                    if present[e.index()] {
-                        return Err(EngineError::EdgePresent(*u, *v));
-                    }
-                    present[e.index()] = true;
-                }
-                EngineEvent::EdgeRemove { u, v } => {
-                    check_node(*u)?;
-                    check_node(*v)?;
-                    let e = g.edge_between(*u, *v).ok_or(EngineError::UnknownEdge(*u, *v))?;
-                    if !present[e.index()] {
-                        return Err(EngineError::EdgeAbsent(*u, *v));
-                    }
-                    present[e.index()] = false;
-                }
-                EngineEvent::QuotaChange { node, .. } => check_node(*node)?,
-                EngineEvent::PreferenceUpdate { node, list } => {
-                    check_node(*node)?;
-                    // A permutation of the universe neighbourhood: right
-                    // length, no duplicates, all neighbours.
-                    if list.len() != g.degree(*node) {
-                        return Err(EngineError::InvalidPreferences(*node));
-                    }
-                    let mut sorted = list.clone();
-                    sorted.sort_unstable();
-                    sorted.dedup();
-                    if sorted.len() != list.len()
-                        || !sorted.iter().zip(g.neighbor_ids(*node)).all(|(&a, b)| a == b)
-                    {
-                        return Err(EngineError::InvalidPreferences(*node));
+                    EngineEvent::QuotaChange { node, .. } => check_node(*node)?,
+                    EngineEvent::PreferenceUpdate { node, list } => {
+                        check_node(*node)?;
+                        // A permutation of the universe neighbourhood: right
+                        // length, no duplicates, all neighbours.
+                        if list.len() != g.degree(*node) {
+                            return Err(EngineError::InvalidPreferences(*node));
+                        }
+                        let mut sorted = list.clone();
+                        sorted.sort_unstable();
+                        sorted.dedup();
+                        if sorted.len() != list.len()
+                            || !sorted.iter().zip(g.neighbor_ids(*node)).all(|(&a, b)| a == b)
+                        {
+                            return Err(EngineError::InvalidPreferences(*node));
+                        }
                     }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        let res = check();
+        s.clear_toggles();
+        res
     }
 
     /// Certified repair, checked: recomputes the matching **from scratch**
@@ -861,6 +860,20 @@ mod tests {
         assert_eq!(e.epoch(), before.epoch());
         assert!(e.matching().same_edges(before.matching()));
         assert!(e.dynamic().is_active(NodeId(1)));
+        // Validation sees the flags as the batch moves them, edges too…
+        let (a, b) = e.dynamic().graph().endpoints(EdgeId(0));
+        let err = e.apply_batch(&[
+            EngineEvent::EdgeRemove { u: a, v: b },
+            EngineEvent::EdgeAdd { u: a, v: b },
+            EngineEvent::EdgeAdd { u: a, v: b }, // invalid: re-added above
+        ]);
+        assert_eq!(err.unwrap_err(), EngineError::EdgePresent(a, b));
+        // …and a rejected batch's toggles do not leak into the next one.
+        e.apply_batch(&[
+            EngineEvent::NodeLeave { node: NodeId(1) },
+            EngineEvent::EdgeRemove { u: a, v: b },
+        ])
+        .expect("valid against the untouched flags");
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub enum EngineEvent {
     },
 }
 
-/// Why a batch was rejected. Validation runs over the *whole* batch
-/// against a scratch copy of the membership flags before any state is
+/// Why a batch was rejected. Validation runs over the *whole* batch,
+/// tracking the membership flags the batch toggles, before any state is
 /// touched, so a failed [`crate::Engine::apply_batch`] leaves the engine
 /// exactly as it was.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -12,8 +12,8 @@
 //!   selected-edge mirror ([`FixedCsr`], u32 edge ids);
 //! * the flip journal — per-edge net delta state plus the list of edges
 //!   that flipped, compacted into the batch's `DeltaReport`;
-//! * touched-node tracking, validation flag copies and the batch's
-//!   rerank list.
+//! * touched-node tracking, the batch-validation toggles and the
+//!   batch's rerank list.
 //!
 //! Clearing discipline: bitmaps are cleared through the companion lists
 //! that recorded which bits were set (O(touched), not O(n)), the heap
@@ -67,10 +67,16 @@ pub(crate) struct EngineScratch {
     /// Edges that flipped this batch, each listed once (may contain edges
     /// that toggled back to 0 — compaction skips them).
     pub delta_edges: Vec<EdgeId>,
-    /// Batch-validation scratch copies of the membership flags.
-    pub val_active: Vec<bool>,
-    /// See `val_active`.
-    pub val_present: Vec<bool>,
+    /// Batch validation: nodes whose active flag the batch has toggled
+    /// an odd number of times so far, by node id (the flag the batch
+    /// sees is the stored one XOR this), cleared through `val_nodes`.
+    pub val_node_toggled: Vec<bool>,
+    /// Nodes set in `val_node_toggled` (may repeat).
+    pub val_nodes: Vec<NodeId>,
+    /// The present-flag counterpart of `val_node_toggled`, by edge id.
+    pub val_edge_toggled: Vec<bool>,
+    /// Edges set in `val_edge_toggled` (may repeat).
+    pub val_edges: Vec<EdgeId>,
 }
 
 impl EngineScratch {
@@ -90,8 +96,10 @@ impl EngineScratch {
             rerank_list: Vec::new(),
             delta_state: vec![0; m],
             delta_edges: Vec::new(),
-            val_active: Vec::with_capacity(n),
-            val_present: Vec::with_capacity(m.max(1)),
+            val_node_toggled: vec![false; n],
+            val_nodes: Vec::new(),
+            val_edge_toggled: vec![false; m],
+            val_edges: Vec::new(),
         }
     }
 
@@ -102,6 +110,38 @@ impl EngineScratch {
             self.touched[i.index()] = true;
             self.touched_nodes.push(i);
         }
+    }
+
+    /// Toggles node `i`'s validation flag.
+    #[inline]
+    pub fn toggle_node(&mut self, i: NodeId) {
+        let t = &mut self.val_node_toggled[i.index()];
+        *t = !*t;
+        if *t {
+            self.val_nodes.push(i);
+        }
+    }
+
+    /// Toggles edge `e`'s validation flag.
+    #[inline]
+    pub fn toggle_edge(&mut self, e: EdgeId) {
+        let t = &mut self.val_edge_toggled[e.index()];
+        *t = !*t;
+        if *t {
+            self.val_edges.push(e);
+        }
+    }
+
+    /// Clears every validation toggle (O(toggled), not O(n + m)).
+    pub fn clear_toggles(&mut self) {
+        for &i in &self.val_nodes {
+            self.val_node_toggled[i.index()] = false;
+        }
+        self.val_nodes.clear();
+        for &e in &self.val_edges {
+            self.val_edge_toggled[e.index()] = false;
+        }
+        self.val_edges.clear();
     }
 
     /// Queues edge `e` at rank `r` unless it is already in the heap.

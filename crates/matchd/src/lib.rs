@@ -20,6 +20,7 @@
 //! * [`recovery`] — snapshot + WAL → certified engine;
 //! * [`universe`] — deterministic universe specs and client workloads;
 //! * [`http`] — a minimal HTTP/1.0 codec for the admin endpoint;
+//! * [`View`] — the paged copy-on-write read view the daemon publishes;
 //! * [`server`] — the daemon itself;
 //! * [`ops`] — the live operations plane (admin endpoint, continuous
 //!   auditor, slow-request ring);
@@ -36,13 +37,15 @@ pub mod recovery;
 pub mod server;
 pub mod snapshot;
 pub mod universe;
+mod view;
 pub mod wal;
 
 pub use client::{EpochInfo, MatchdClient, SubmitOutcome};
 pub use codec::{CodecError, Frame, PROTO_VERSION};
 pub use ops::{OpsStatus, SlowSpan, SLOW_RING_CAPACITY};
 pub use recovery::{recover, Recovery, WAL_FILE};
-pub use server::{Matchd, MatchdConfig, MatchdStats, ShutdownHandle, View};
+pub use server::{Matchd, MatchdConfig, MatchdStats, ShutdownHandle};
 pub use snapshot::{load_snapshot_file, LoadedSnapshot, SnapshotStore, SNAPSHOT_FILE};
 pub use universe::{client_stream, from_spec};
+pub use view::View;
 pub use wal::{FsyncPolicy, Wal, WalRecord, WalSummary};

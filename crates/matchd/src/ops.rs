@@ -337,7 +337,7 @@ fn scalar<'d>(doc: &'d str, key: &str) -> Result<&'d str, String> {
 /// Everything the ops threads need, bundled once at spawn.
 pub(crate) struct OpsCtx {
     pub registry: MetricsRegistry,
-    pub view: Arc<Mutex<Arc<crate::server::View>>>,
+    pub view: crate::view::SharedView,
     pub depth: Arc<AtomicUsize>,
     pub ingest: SyncSender<Ingest>,
     pub shared: Arc<OpsShared>,

@@ -27,14 +27,17 @@ use crate::ops::{self, OpsCtx, OpsHandle, OpsShared};
 use crate::recovery::recover;
 use crate::snapshot::SnapshotStore;
 use crate::wal::{FsyncPolicy, Wal};
-use owp_engine::{Engine, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot};
+use crate::view::{DirtyPages, Publisher, SharedView, View};
+use owp_engine::{
+    DeltaReport, Engine, EngineError, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot,
+};
 use owp_graph::EdgeId;
 use owp_metrics::{
     Counter, Gauge, Histogram, MetricsRegistry, MATCHD_ADMISSION_REJECTS, MATCHD_BATCH_EVENTS,
     MATCHD_BATCH_LINGER_US, MATCHD_CONNECTIONS, MATCHD_CONNECTIONS_TOTAL, MATCHD_QUEUE_DEPTH,
     MATCHD_REQUESTS_TOTAL, MATCHD_REQ_CONTROL_US, MATCHD_REQ_QUERY_US, MATCHD_REQ_SUBMIT_US,
-    MATCHD_SNAPSHOT_EPOCH, MATCHD_SPAN_ACK_US, MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US,
-    MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
+    MATCHD_SNAPSHOT_EPOCH, MATCHD_SPAN_ACK_US, MATCHD_SPAN_APPLY_US, MATCHD_SPAN_PUBLISH_US,
+    MATCHD_SPAN_QUEUE_US, MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
 };
 use owp_telemetry::{EventLog, MessageKind, Recorder, TelemetryEvent};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -99,53 +102,6 @@ impl MatchdConfig {
         }
     }
 }
-
-/// The epoch-stamped published view: everything the read path may
-/// answer, frozen at a batch boundary. Handlers clone an `Arc` to it
-/// under a short lock and never touch the engine.
-#[derive(Clone, Debug)]
-pub struct View {
-    /// Engine epoch this view reflects.
-    pub epoch: u64,
-    /// ΣS over active peers.
-    pub sigma_s: f64,
-    /// Active node count.
-    pub active: u32,
-    /// Matched edge count.
-    pub matched: u32,
-    matches: Vec<Vec<u32>>,
-    sat: Vec<f64>,
-}
-
-impl View {
-    fn from_engine(engine: &Engine) -> View {
-        let dp = engine.dynamic();
-        let g = dp.graph();
-        View {
-            epoch: engine.epoch().0,
-            sigma_s: engine.total_satisfaction(),
-            active: g.nodes().filter(|&i| dp.is_active(i)).count() as u32,
-            matched: engine.matching().size() as u32,
-            matches: g
-                .nodes()
-                .map(|i| engine.matching().connections(i).iter().map(|p| p.0).collect())
-                .collect(),
-            sat: g.nodes().map(|i| engine.satisfaction(i)).collect(),
-        }
-    }
-
-    /// The node's matched peers (empty for unknown ids).
-    pub fn matches_of(&self, node: u32) -> &[u32] {
-        self.matches.get(node as usize).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The node's satisfaction (0 for inactive or unknown ids).
-    pub fn satisfaction_of(&self, node: u32) -> f64 {
-        self.sat.get(node as usize).copied().unwrap_or(0.0)
-    }
-}
-
-type SharedView = Arc<Mutex<Arc<View>>>;
 
 type Reply = Result<u64, String>;
 
@@ -320,16 +276,18 @@ impl Matchd {
         let nodes = universe.graph.node_count() as u32;
 
         let owner = {
-            let view = Arc::clone(&view);
+            let owner = Owner::new(
+                rec.engine,
+                rec.wal,
+                Arc::clone(&view),
+                Arc::clone(&shared),
+                registry.clone(),
+                config.clone(),
+            );
             let depth = Arc::clone(&depth);
-            let shared = Arc::clone(&shared);
-            let registry = registry.clone();
-            let config = config.clone();
-            let engine = rec.engine;
-            let wal = rec.wal;
             std::thread::Builder::new()
                 .name("matchd-engine".into())
-                .spawn(move || owner_loop(engine, wal, rx, view, depth, shared, registry, config))
+                .spawn(move || owner_loop(owner, rx, depth))
                 .map_err(|e| format!("cannot spawn engine owner: {e}"))?
         };
 
@@ -593,108 +551,134 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
     }
 }
 
-/// The single engine-owner thread: adaptive batching, WAL-before-ack,
-/// periodic snapshots, view publication.
-#[allow(clippy::too_many_arguments)]
-fn owner_loop(
-    mut engine: Engine,
-    mut wal: Wal,
-    rx: Receiver<Ingest>,
-    view: SharedView,
-    depth: Arc<AtomicUsize>,
+/// The engine owner's metric handles.
+struct OwnerMetrics {
+    queue_depth: Gauge,
+    wal_bytes: Gauge,
+    wal_records: Gauge,
+    snapshot_epoch: Gauge,
+    linger_us: Histogram,
+    batch_events: Histogram,
+    span_queue_us: Histogram,
+    span_apply_us: Histogram,
+    span_ack_us: Histogram,
+    span_publish_us: Histogram,
+}
+
+/// Everything the single engine-owner thread mutates: the engine, the
+/// WAL, the batch being gathered and the view publisher.
+struct Owner {
+    engine: Engine,
+    wal: Wal,
+    trace: Option<EventLog>,
+    pending: Vec<Submission>,
+    pending_events: usize,
+    /// The pending submissions' events, concatenated (reused per flush).
+    merged: Vec<EngineEvent>,
+    /// The last applied batch's report (reused per batch).
+    report: DeltaReport,
+    publisher: Publisher,
+    batches: u64,
+    last_snapshot: u64,
+    store: SnapshotStore,
+    config: MatchdConfig,
     shared: Arc<OpsShared>,
     registry: MetricsRegistry,
-    config: MatchdConfig,
-) -> OwnerExit {
-    let started = Instant::now();
-    let queue_depth: Gauge = registry.gauge(MATCHD_QUEUE_DEPTH);
-    let wal_bytes: Gauge = registry.gauge(MATCHD_WAL_BYTES);
-    let wal_records: Gauge = registry.gauge(MATCHD_WAL_RECORDS);
-    let snapshot_epoch_g: Gauge = registry.gauge(MATCHD_SNAPSHOT_EPOCH);
-    let linger_us: Histogram = registry.histogram(MATCHD_BATCH_LINGER_US);
-    let batch_events: Histogram = registry.histogram(MATCHD_BATCH_EVENTS);
-    let span_queue_us: Histogram = registry.histogram(MATCHD_SPAN_QUEUE_US);
-    let span_apply_us: Histogram = registry.histogram(MATCHD_SPAN_APPLY_US);
-    let span_ack_us: Histogram = registry.histogram(MATCHD_SPAN_ACK_US);
-    let store = SnapshotStore::new(&config.data_dir);
-    let mut trace = config.trace.then(EventLog::enabled);
-    let mut pending: Vec<Submission> = Vec::new();
-    let mut pending_events = 0usize;
-    let mut merged: Vec<EngineEvent> = Vec::new();
-    let mut batches = 0u64;
-    let mut last_snapshot = engine.epoch().0;
-    wal_bytes.set(wal.bytes() as f64);
-    wal_records.set(wal.records() as f64);
+    started: Instant,
+    m: OwnerMetrics,
+}
 
-    let mut flush = |pending: &mut Vec<Submission>,
-                     pending_events: &mut usize,
-                     engine: &mut Engine,
-                     wal: &mut Wal,
-                     trace: &mut Option<EventLog>,
-                     batches: &mut u64,
-                     last_snapshot: &mut u64| {
-        if pending.is_empty() {
-            return;
+/// Applies one batch, marking the view pages it dirtied; returns the
+/// epoch it produced.
+fn apply(
+    engine: &mut Engine,
+    events: &[EngineEvent],
+    trace: &mut Option<EventLog>,
+    report: &mut DeltaReport,
+    dirty: &mut DirtyPages,
+) -> Result<u64, EngineError> {
+    match trace.as_mut() {
+        Some(log) => engine.apply_batch_traced_into(events, log, report),
+        None => engine.apply_batch_into(events, report),
+    }?;
+    dirty.note_batch(engine.dynamic().graph(), events, report);
+    Ok(report.epoch.0)
+}
+
+impl Owner {
+    fn new(
+        engine: Engine,
+        wal: Wal,
+        view: SharedView,
+        shared: Arc<OpsShared>,
+        registry: MetricsRegistry,
+        config: MatchdConfig,
+    ) -> Owner {
+        let m = OwnerMetrics {
+            queue_depth: registry.gauge(MATCHD_QUEUE_DEPTH),
+            wal_bytes: registry.gauge(MATCHD_WAL_BYTES),
+            wal_records: registry.gauge(MATCHD_WAL_RECORDS),
+            snapshot_epoch: registry.gauge(MATCHD_SNAPSHOT_EPOCH),
+            linger_us: registry.histogram(MATCHD_BATCH_LINGER_US),
+            batch_events: registry.histogram(MATCHD_BATCH_EVENTS),
+            span_queue_us: registry.histogram(MATCHD_SPAN_QUEUE_US),
+            span_apply_us: registry.histogram(MATCHD_SPAN_APPLY_US),
+            span_ack_us: registry.histogram(MATCHD_SPAN_ACK_US),
+            span_publish_us: registry.histogram(MATCHD_SPAN_PUBLISH_US),
+        };
+        m.wal_bytes.set(wal.bytes() as f64);
+        m.wal_records.set(wal.records() as f64);
+        Owner {
+            last_snapshot: engine.epoch().0,
+            engine,
+            wal,
+            trace: config.trace.then(EventLog::enabled),
+            pending: Vec::new(),
+            pending_events: 0,
+            merged: Vec::new(),
+            report: DeltaReport::default(),
+            publisher: Publisher::new(view),
+            batches: 0,
+            store: SnapshotStore::new(&config.data_dir),
+            config,
+            shared,
+            registry,
+            started: Instant::now(),
+            m,
         }
-        let oldest = pending[0].enqueued;
-        linger_us.observe(oldest.elapsed().as_micros() as u64);
-        batch_events.observe(*pending_events as u64);
-        let now_us = || started.elapsed().as_micros() as u64;
-        if let Some(log) = trace.as_mut() {
-            for sub in pending.iter() {
-                log.record(TelemetryEvent::WireFrameReceived {
-                    time: now_us(),
-                    conn: sub.conn,
-                    req: sub.req,
-                    kind: MessageKind::Other("SUBMIT"),
-                    bytes: sub.bytes,
-                });
-            }
-        }
+    }
+
+    fn note_wal(&self) {
+        self.m.wal_bytes.set(self.wal.bytes() as f64);
+        self.m.wal_records.set(self.wal.records() as f64);
+    }
+
+    /// Applies and logs the pending submissions: one merged batch, or,
+    /// if the merge fails validation as a whole, each submission alone,
+    /// so one client's invalid event cannot poison another's. Returns
+    /// each submission with its reply, not yet sent.
+    fn commit(&mut self) -> Vec<(Submission, Reply)> {
+        let Owner { engine, wal, trace, pending, merged, report, publisher, batches, .. } = self;
         merged.clear();
         for sub in pending.iter() {
             merged.extend_from_slice(&sub.events);
         }
-        // The span legs: every submission in this flush shares the
-        // apply leg (one merged engine call + WAL append), while its
-        // queue leg is individual — enqueue to flush start.
-        let flush_start = Instant::now();
-        let merged_result = match trace.as_mut() {
-            Some(log) => engine.apply_batch_traced(&merged, log).map(|r| r.epoch.0),
-            None => engine.apply_batch(&merged).map(|r| r.epoch.0),
-        };
-        // Replies are deferred until after the view is published, so a
-        // client that sees its ack is guaranteed to read its own write.
-        let mut replies: Vec<(Submission, Reply)> = Vec::with_capacity(pending.len());
-        match merged_result {
+        self.pending_events = 0;
+        match apply(engine, merged, trace, report, &mut publisher.dirty) {
             Ok(epoch) => {
                 *batches += 1;
-                match wal.append(epoch, &merged) {
-                    Ok(()) => {
-                        for sub in pending.drain(..) {
-                            replies.push((sub, Ok(epoch)));
-                        }
-                    }
-                    Err(e) => {
-                        // Disk trouble: the batch is applied but not
-                        // logged. Refuse the ack so no client believes
-                        // it durable.
-                        for sub in pending.drain(..) {
-                            replies.push((sub, Err(format!("WAL append failed: {e}"))));
-                        }
-                    }
-                }
+                // On disk trouble the batch is applied but not logged:
+                // refuse the ack so no client believes it durable.
+                let reply = wal
+                    .append(epoch, merged)
+                    .map(|()| epoch)
+                    .map_err(|e| format!("WAL append failed: {e}"));
+                pending.drain(..).map(|sub| (sub, reply.clone())).collect()
             }
-            Err(_) => {
-                // The merged batch fails validation as a whole; isolate
-                // the offender(s) by applying each submission alone.
-                for sub in pending.drain(..) {
-                    let one = match trace.as_mut() {
-                        Some(log) => {
-                            engine.apply_batch_traced(&sub.events, log).map(|r| r.epoch.0)
-                        }
-                        None => engine.apply_batch(&sub.events).map(|r| r.epoch.0),
-                    };
+            Err(_) => pending
+                .drain(..)
+                .map(|sub| {
+                    let one = apply(engine, &sub.events, trace, report, &mut publisher.dirty);
                     let reply = match one {
                         Ok(epoch) => match wal.append(epoch, &sub.events) {
                             Ok(()) => {
@@ -705,18 +689,49 @@ fn owner_loop(
                         },
                         Err(e) => Err(e.to_string()),
                     };
-                    replies.push((sub, reply));
-                }
+                    (sub, reply)
+                })
+                .collect(),
+        }
+    }
+
+    /// Flushes the pending batch: apply → WAL → publish → ack, then a
+    /// snapshot when one is due.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.m.linger_us.observe(self.pending[0].enqueued.elapsed().as_micros() as u64);
+        self.m.batch_events.observe(self.pending_events as u64);
+        let started = self.started;
+        let now_us = || started.elapsed().as_micros() as u64;
+        if let Some(log) = self.trace.as_mut() {
+            for sub in &self.pending {
+                log.record(TelemetryEvent::WireFrameReceived {
+                    time: now_us(),
+                    conn: sub.conn,
+                    req: sub.req,
+                    kind: MessageKind::Other("SUBMIT"),
+                    bytes: sub.bytes,
+                });
             }
         }
-        *pending_events = 0;
+        // The span legs: every submission in this flush shares the
+        // apply leg (the engine calls + WAL appends), while its queue
+        // leg is individual — enqueue to flush start. The ack leg runs
+        // from the end of the apply leg, so it includes the publish.
+        let flush_start = Instant::now();
+        let replies = self.commit();
         let apply_done = Instant::now();
         let apply_us = apply_done.duration_since(flush_start).as_micros() as u64;
-        let epoch_now = engine.epoch().0;
-        *view.lock().expect("view lock") = Arc::new(View::from_engine(engine));
+        let epoch_now = self.engine.epoch().0;
+        // Replies wait until the view is published, so a client that
+        // sees its ack is guaranteed to read its own write.
+        self.publisher.publish(&self.engine);
+        self.m.span_publish_us.observe(apply_done.elapsed().as_micros() as u64);
         for (sub, reply) in replies {
             let kind = if reply.is_ok() { "ACCEPTED" } else { "REJECTED" };
-            if let Some(log) = trace.as_mut() {
+            if let Some(log) = self.trace.as_mut() {
                 log.record(TelemetryEvent::WireFrameSent {
                     time: now_us(),
                     conn: sub.conn,
@@ -727,10 +742,10 @@ fn owner_loop(
             }
             let queue_us = flush_start.duration_since(sub.enqueued).as_micros() as u64;
             let ack_us = apply_done.elapsed().as_micros() as u64;
-            span_queue_us.observe(queue_us);
-            span_apply_us.observe(apply_us);
-            span_ack_us.observe(ack_us);
-            shared.slow.note(
+            self.m.span_queue_us.observe(queue_us);
+            self.m.span_apply_us.observe(apply_us);
+            self.m.span_ack_us.observe(ack_us);
+            self.shared.slow.note(
                 sub.req,
                 sub.conn,
                 "SUBMIT",
@@ -742,41 +757,49 @@ fn owner_loop(
             );
             let _ = sub.reply.send(reply);
         }
-        wal_bytes.set(wal.bytes() as f64);
-        wal_records.set(wal.records() as f64);
-        if config.snapshot_every > 0 && epoch_now - *last_snapshot >= config.snapshot_every {
-            if store.save(epoch_now, &OriginSnapshot::capture(engine.dynamic())).is_ok() {
-                let _ = wal.reset();
-                *last_snapshot = epoch_now;
-                snapshot_epoch_g.set(epoch_now as f64);
-                wal_bytes.set(wal.bytes() as f64);
-                wal_records.set(wal.records() as f64);
-            }
+        self.note_wal();
+        let every = self.config.snapshot_every;
+        if every > 0 && epoch_now - self.last_snapshot >= every {
+            self.snapshot(epoch_now);
         }
-    };
+    }
 
+    /// Flushes, then corrupts the engine with `fault` and republishes
+    /// the view from scratch: no batch report describes the damage.
+    fn inject(&mut self, fault: InjectedFault) {
+        self.flush();
+        self.engine.inject_fault(fault);
+        self.publisher.rebuild(&self.engine);
+    }
+
+    /// Saves a snapshot at `epoch` and resets the WAL it covers.
+    fn snapshot(&mut self, epoch: u64) {
+        if self.store.save(epoch, &OriginSnapshot::capture(self.engine.dynamic())).is_ok() {
+            let _ = self.wal.reset();
+            self.last_snapshot = epoch;
+            self.m.snapshot_epoch.set(epoch as f64);
+            self.note_wal();
+        }
+    }
+}
+
+/// The single engine-owner thread: adaptive batching, WAL-before-ack,
+/// periodic snapshots, view publication.
+fn owner_loop(mut owner: Owner, rx: Receiver<Ingest>, depth: Arc<AtomicUsize>) -> OwnerExit {
     let graceful = loop {
-        let msg = if pending.is_empty() {
+        let msg = if owner.pending.is_empty() {
             match rx.recv() {
                 Ok(m) => m,
                 Err(_) => break true, // all senders gone: clean stop
             }
         } else {
-            let deadline = pending[0].enqueued + config.max_linger;
+            let deadline = owner.pending[0].enqueued + owner.config.max_linger;
             let wait = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(wait) {
                 Ok(m) => m,
                 Err(RecvTimeoutError::Timeout) => {
-                    flush(
-                        &mut pending,
-                        &mut pending_events,
-                        &mut engine,
-                        &mut wal,
-                        &mut trace,
-                        &mut batches,
-                        &mut last_snapshot,
-                    );
-                    queue_depth.set(depth.load(Ordering::SeqCst) as f64);
+                    owner.flush();
+                    owner.m.queue_depth.set(depth.load(Ordering::SeqCst) as f64);
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => break true,
@@ -785,19 +808,11 @@ fn owner_loop(
         match msg {
             Ingest::Submit(sub) => {
                 depth.fetch_sub(1, Ordering::SeqCst);
-                queue_depth.set(depth.load(Ordering::SeqCst) as f64);
-                pending_events += sub.events.len();
-                pending.push(sub);
-                if pending_events >= config.max_batch {
-                    flush(
-                        &mut pending,
-                        &mut pending_events,
-                        &mut engine,
-                        &mut wal,
-                        &mut trace,
-                        &mut batches,
-                        &mut last_snapshot,
-                    );
+                owner.m.queue_depth.set(depth.load(Ordering::SeqCst) as f64);
+                owner.pending_events += sub.events.len();
+                owner.pending.push(sub);
+                if owner.pending_events >= owner.config.max_batch {
+                    owner.flush();
                 }
             }
             // Control rendezvous from the ops plane: flush any pending
@@ -805,19 +820,11 @@ fn owner_loop(
             // state at a batch boundary, then answer on the sender the
             // requester supplied.
             Ingest::Probe(reply) => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut trace,
-                    &mut batches,
-                    &mut last_snapshot,
-                );
+                owner.flush();
+                let engine = &owner.engine;
                 let dp = engine.dynamic();
-                let g = dp.graph();
                 let matched: Vec<EdgeId> =
-                    g.edges().filter(|&e| engine.matching().contains(e)).collect();
+                    dp.graph().edges().filter(|&e| engine.matching().contains(e)).collect();
                 let probe = AuditProbe {
                     epoch: engine.epoch().0,
                     origin: OriginSnapshot::capture(dp),
@@ -826,31 +833,14 @@ fn owner_loop(
                 let _ = reply.send(probe);
             }
             Ingest::Capture { reason, reply } => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut trace,
-                    &mut batches,
-                    &mut last_snapshot,
-                );
-                let metrics_json = registry.snapshot().to_json();
-                let bundle = engine.capture_bundle("audit", &reason, None, Some(&metrics_json));
+                owner.flush();
+                let metrics_json = owner.registry.snapshot().to_json();
+                let bundle =
+                    owner.engine.capture_bundle("audit", &reason, None, Some(&metrics_json));
                 let _ = reply.send(bundle);
             }
             Ingest::Inject(fault, ack) => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut trace,
-                    &mut batches,
-                    &mut last_snapshot,
-                );
-                engine.inject_fault(fault);
-                *view.lock().expect("view lock") = Arc::new(View::from_engine(&engine));
+                owner.inject(fault);
                 let _ = ack.send(());
             }
             Ingest::Shutdown => break true,
@@ -859,28 +849,264 @@ fn owner_loop(
     };
 
     if graceful {
-        flush(
-            &mut pending,
-            &mut pending_events,
-            &mut engine,
-            &mut wal,
-            &mut trace,
-            &mut batches,
-            &mut last_snapshot,
-        );
-        let epoch_now = engine.epoch().0;
-        if config.snapshot_every > 0 && epoch_now > last_snapshot {
-            if store.save(epoch_now, &OriginSnapshot::capture(engine.dynamic())).is_ok() {
-                let _ = wal.reset();
-                snapshot_epoch_g.set(epoch_now as f64);
-                wal_records.set(wal.records() as f64);
-            }
+        owner.flush();
+        let epoch_now = owner.engine.epoch().0;
+        if owner.config.snapshot_every > 0 && epoch_now > owner.last_snapshot {
+            owner.snapshot(epoch_now);
         }
-        let _ = wal.sync();
+        let _ = owner.wal.sync();
     }
     // Pending, unacknowledged submissions on an abort are dropped — the
     // crash semantics. Their reply senders hang up, which handlers
     // surface as "daemon stopped before applying".
-    let certify = engine.certify();
-    OwnerExit { engine, batches, graceful, certify, trace }
+    let certify = owner.engine.certify();
+    OwnerExit {
+        engine: owner.engine,
+        batches: owner.batches,
+        graceful,
+        certify,
+        trace: owner.trace,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::universe::{client_stream, from_spec};
+    use crate::view::PAGE_NODES;
+    use owp_graph::NodeId;
+    use rand::seq::SliceRandom;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// An owner over a fresh data dir, plus the slot readers clone from.
+    fn owner(name: &str, spec: &str) -> (Owner, SharedView) {
+        let dir = std::env::temp_dir().join(format!("owp-view-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let universe = from_spec(spec).expect("spec");
+        let config = MatchdConfig::new(&dir);
+        let rec = recover(&dir, &universe, config.fsync).expect("recover");
+        let slot: SharedView = Arc::new(Mutex::new(Arc::new(View::from_engine(&rec.engine))));
+        let owner = Owner::new(
+            rec.engine,
+            rec.wal,
+            Arc::clone(&slot),
+            Arc::new(OpsShared::new()),
+            MetricsRegistry::new(),
+            config,
+        );
+        (owner, slot)
+    }
+
+    /// Queues one submission; returns the receiver of its reply.
+    fn submit(owner: &mut Owner, events: Vec<EngineEvent>) -> Receiver<Reply> {
+        let (reply, rx) = std::sync::mpsc::channel();
+        owner.pending_events += events.len();
+        owner.pending.push(Submission {
+            events,
+            enqueued: Instant::now(),
+            conn: 1,
+            req: 1,
+            bytes: 0,
+            reply,
+        });
+        rx
+    }
+
+    /// The published view equals a full rebuild field for field, f64s
+    /// by bits, and is what readers get from the slot.
+    fn assert_exact(owner: &Owner, slot: &SharedView) {
+        let got = owner.publisher.current();
+        assert!(Arc::ptr_eq(got, &slot.lock().expect("view lock")), "slot holds the view");
+        let want = View::from_engine(&owner.engine);
+        let at = got.epoch;
+        assert_eq!(got.epoch, want.epoch);
+        assert_eq!(got.sigma_s.to_bits(), want.sigma_s.to_bits(), "epoch {at}: sigma_s");
+        assert_eq!(got.active, want.active, "epoch {at}: active");
+        assert_eq!(got.matched, want.matched, "epoch {at}: matched");
+        assert_eq!(got.page_count(), want.page_count());
+        // Past the last node too: unknown ids answer empty / 0.
+        let n = owner.engine.dynamic().graph().node_count() as u32;
+        for i in 0..n + 3 {
+            assert_eq!(got.matches_of(i), want.matches_of(i), "epoch {at}: matches of {i}");
+            assert_eq!(
+                got.satisfaction_of(i).to_bits(),
+                want.satisfaction_of(i).to_bits(),
+                "epoch {at}: satisfaction of {i}"
+            );
+        }
+    }
+
+    /// `count` random join/leave/quota/preference events, valid in order
+    /// against the engine's current membership.
+    fn mixed_events(engine: &Engine, rng: &mut StdRng, count: usize) -> Vec<EngineEvent> {
+        let g = engine.dynamic().graph();
+        let mut active: Vec<bool> = g.nodes().map(|i| engine.dynamic().is_active(i)).collect();
+        (0..count)
+            .map(|_| {
+                let node = NodeId(rng.gen_range(0..g.node_count() as u32));
+                if !active[node.index()] {
+                    active[node.index()] = true;
+                    return EngineEvent::NodeJoin { node };
+                }
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        active[node.index()] = false;
+                        EngineEvent::NodeLeave { node }
+                    }
+                    1 => EngineEvent::QuotaChange { node, quota: rng.gen_range(1..4u32) },
+                    _ => {
+                        let mut list: Vec<NodeId> = g.neighbor_ids(node).collect();
+                        list.shuffle(rng);
+                        EngineEvent::PreferenceUpdate { node, list }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// E23's workload: four clients' streams in 16-event submissions,
+    /// one submission per client merged into each flush.
+    #[test]
+    fn incremental_view_matches_rebuild_on_the_client_stream() {
+        let (mut owner, slot) = owner("e23", "ba:2000,3,2,42");
+        let universe = from_spec("ba:2000,3,2,42").expect("spec");
+        let streams: Vec<Vec<EngineEvent>> =
+            (0..4).map(|c| client_stream(&universe, c, 4, 160)).collect();
+        for k in 0..10 {
+            let replies: Vec<_> = streams
+                .iter()
+                .map(|s| submit(&mut owner, s[k * 16..(k + 1) * 16].to_vec()))
+                .collect();
+            owner.flush();
+            for rx in replies {
+                assert_eq!(rx.recv().expect("reply"), Ok(k as u64 + 1));
+            }
+            assert_exact(&owner, &slot);
+        }
+    }
+
+    #[test]
+    fn incremental_view_matches_rebuild_on_mixed_churn() {
+        let (mut owner, slot) = owner("mixed", "ba:1500,3,2,9");
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..40 {
+            let count = rng.gen_range(1..24usize);
+            let events = mixed_events(&owner.engine, &mut rng, count);
+            let rx = submit(&mut owner, events);
+            owner.flush();
+            assert!(rx.recv().expect("reply").is_ok());
+            assert_exact(&owner, &slot);
+        }
+    }
+
+    /// One invalid submission in a merged batch forces the per-submission
+    /// fallback; the pages dirtied by every submission that commits must
+    /// all be republished.
+    #[test]
+    fn incremental_view_matches_rebuild_after_the_fallback_path() {
+        let (mut owner, slot) = owner("fallback", "ba:1200,3,2,3");
+        let mut rng = StdRng::seed_from_u64(11);
+        for round in 0..6 {
+            let first = mixed_events(&owner.engine, &mut rng, 8);
+            let a = submit(&mut owner, first.clone());
+            // Joining a node that is active (or that `first` just made
+            // active) is invalid whatever state it sees.
+            let node = (0..1200)
+                .map(NodeId)
+                .find(|&i| {
+                    owner.engine.dynamic().is_active(i)
+                        && !first.iter().any(|ev| {
+                            matches!(ev, EngineEvent::NodeLeave { node } if *node == i)
+                        })
+                })
+                .expect("an active node");
+            let bad = submit(&mut owner, vec![EngineEvent::NodeJoin { node }]);
+            // Valid after `first`, wherever the merged batch is split.
+            let quota = EngineEvent::QuotaChange { node, quota: 1 + round % 3 };
+            let c = submit(&mut owner, vec![quota]);
+            let epoch = owner.engine.epoch().0;
+            owner.flush();
+            assert_eq!(a.recv().expect("reply"), Ok(epoch + 1));
+            assert!(bad.recv().expect("reply").expect_err("rejected").contains("already active"));
+            assert_eq!(c.recv().expect("reply"), Ok(epoch + 2));
+            assert_exact(&owner, &slot);
+        }
+    }
+
+    #[test]
+    fn incremental_view_matches_rebuild_around_injected_faults() {
+        let (mut owner, slot) = owner("inject", "ba:1000,3,2,4");
+        let mut rng = StdRng::seed_from_u64(21);
+        let churn = |owner: &mut Owner, rng: &mut StdRng| {
+            let events = mixed_events(&owner.engine, rng, 12);
+            let rx = submit(owner, events);
+            owner.flush();
+            assert!(rx.recv().expect("reply").is_ok());
+        };
+        churn(&mut owner, &mut rng);
+        assert_exact(&owner, &slot);
+        let node = NodeId(7);
+        let mut list: Vec<NodeId> = owner.engine.dynamic().graph().neighbor_ids(node).collect();
+        list.reverse();
+        owner.inject(InjectedFault::SkippedRepair { node, list });
+        assert_exact(&owner, &slot);
+        churn(&mut owner, &mut rng);
+        assert_exact(&owner, &slot);
+        // Pending submissions are flushed (and published) before the fault.
+        let g = owner.engine.dynamic().graph();
+        let edge =
+            g.edges().find(|&e| !owner.engine.matching().contains(e)).expect("unmatched edge");
+        let events = mixed_events(&owner.engine, &mut rng, 6);
+        let rx = submit(&mut owner, events);
+        owner.inject(InjectedFault::PhantomEdge { edge });
+        assert!(rx.recv().expect("reply").is_ok());
+        assert_exact(&owner, &slot);
+    }
+
+    /// The publish cost scales with the nodes a batch touched: every page
+    /// holding none of them is the previous view's page, pointer for
+    /// pointer, and every page holding one is rebuilt.
+    #[test]
+    fn untouched_pages_are_shared_with_the_previous_view() {
+        let (mut owner, slot) = owner("share", "ba:20000,3,2,7");
+        let mut rng = StdRng::seed_from_u64(3);
+        let pages = owner.publisher.current().page_count();
+        assert_eq!(pages, 20000usize.div_ceil(PAGE_NODES));
+        for _ in 0..12 {
+            let prev = Arc::clone(owner.publisher.current());
+            let before: BTreeSet<EdgeId> = owner.engine.matching().edge_ids().into_iter().collect();
+            let events = mixed_events(&owner.engine, &mut rng, 4);
+            let mut touched: BTreeSet<usize> = events
+                .iter()
+                .map(|ev| match ev {
+                    EngineEvent::NodeJoin { node }
+                    | EngineEvent::NodeLeave { node }
+                    | EngineEvent::QuotaChange { node, .. }
+                    | EngineEvent::PreferenceUpdate { node, .. } => node.index() / PAGE_NODES,
+                    _ => unreachable!("mixed_events emits node events only"),
+                })
+                .collect();
+            let rx = submit(&mut owner, events);
+            owner.flush();
+            assert!(rx.recv().expect("reply").is_ok());
+            let after: BTreeSet<EdgeId> = owner.engine.matching().edge_ids().into_iter().collect();
+            let g = owner.engine.dynamic().graph();
+            for &e in before.symmetric_difference(&after) {
+                let (u, v) = g.endpoints(e);
+                touched.insert(u.index() / PAGE_NODES);
+                touched.insert(v.index() / PAGE_NODES);
+            }
+            let next = owner.publisher.current();
+            for p in 0..pages {
+                assert_eq!(
+                    next.shares_page(&prev, p),
+                    !touched.contains(&p),
+                    "page {p} (touched pages {touched:?})"
+                );
+            }
+            assert!(touched.len() < pages / 2, "{} of {pages} pages touched", touched.len());
+            assert_exact(&owner, &slot);
+        }
+    }
 }

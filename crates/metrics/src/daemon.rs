@@ -66,6 +66,12 @@ pub const MATCHD_SPAN_APPLY_US: &str = "matchd_span_apply_us";
 /// reply leaving the owner (view publication + ack fan-out). The ack leg.
 pub const MATCHD_SPAN_ACK_US: &str = "matchd_span_ack_us";
 
+/// Histogram: microseconds the owner spent publishing the read view
+/// after a flush — rebuilding the pages the batch dirtied and swapping
+/// the new view in. Observed once per flush; it falls inside the ack leg
+/// ([`MATCHD_SPAN_ACK_US`]), which it does not replace.
+pub const MATCHD_SPAN_PUBLISH_US: &str = "matchd_span_publish_us";
+
 /// Histogram: end-to-end microseconds for `SUBMIT` frames (decode →
 /// ack written), the sum of the three span legs plus handler overhead.
 pub const MATCHD_REQ_SUBMIT_US: &str = "matchd_req_submit_us";
@@ -124,6 +130,7 @@ pub fn register_matchd_metrics(reg: &MetricsRegistry) {
     reg.histogram(MATCHD_SPAN_QUEUE_US);
     reg.histogram(MATCHD_SPAN_APPLY_US);
     reg.histogram(MATCHD_SPAN_ACK_US);
+    reg.histogram(MATCHD_SPAN_PUBLISH_US);
     reg.histogram(MATCHD_REQ_SUBMIT_US);
     reg.histogram(MATCHD_REQ_QUERY_US);
     reg.histogram(MATCHD_REQ_CONTROL_US);

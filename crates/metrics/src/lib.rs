@@ -53,8 +53,8 @@ pub use daemon::{
     MATCHD_BATCH_LINGER_US, MATCHD_BUNDLES_SPOOLED, MATCHD_CONNECTIONS,
     MATCHD_CONNECTIONS_TOTAL, MATCHD_OPS_REQUESTS, MATCHD_QUEUE_DEPTH, MATCHD_READY,
     MATCHD_REQUESTS_TOTAL, MATCHD_REQ_CONTROL_US, MATCHD_REQ_QUERY_US, MATCHD_REQ_SUBMIT_US,
-    MATCHD_SNAPSHOT_EPOCH, MATCHD_SPAN_ACK_US, MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US,
-    MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
+    MATCHD_SNAPSHOT_EPOCH, MATCHD_SPAN_ACK_US, MATCHD_SPAN_APPLY_US, MATCHD_SPAN_PUBLISH_US,
+    MATCHD_SPAN_QUEUE_US, MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
 };
 pub use audit::{
     epsilon_blocking_count, weight_upper_bound, AuditViolation, Auditor, InvariantKind,
